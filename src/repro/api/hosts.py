@@ -10,11 +10,10 @@ themselves with :func:`register_host` where they are defined::
         ...
 
 :func:`build_host` then constructs any variant by name, passing only the
-optional knobs (``servo_config``, ``shards``, ``workers``) the factory's
-signature accepts
-— there is no per-name branching anywhere.  Passing a knob a host does not
-accept is an error that names the host and the knob, rather than a silent
-no-op.
+optional knobs (``servo_config``, ``shards``) the factory's signature
+accepts — there is no per-name branching anywhere.  Passing a knob a host
+does not accept is an error that names the host and the knob, rather than a
+silent no-op.
 
 Third-party variants plug in the same way: define a factory in your module,
 decorate it, and import the module before building (the built-in variants are
@@ -31,7 +30,7 @@ from typing import Any, Callable
 from repro.api.registry import Registry
 
 #: the optional keyword knobs a host factory may accept, in canonical order
-HOST_KNOBS = ("servo_config", "shards", "workers")
+HOST_KNOBS = ("servo_config", "shards")
 
 
 def _load_builtin_hosts() -> None:
@@ -82,7 +81,7 @@ def register_host(name: str, *, cluster: bool = False, replace: bool = False):
     """Class/function decorator registering a host factory under ``name``.
 
     The factory must accept ``(engine, game_config=None)`` positionally; the
-    optional knobs it supports (``servo_config``, ``shards``, ``workers``) are discovered
+    optional knobs it supports (``servo_config``, ``shards``) are discovered
     from its signature, so :func:`build_host` can delegate uniformly.
     """
 
@@ -116,17 +115,14 @@ def build_host(
     *,
     servo_config=None,
     shards: int | None = None,
-    workers: int | None = None,
 ):
     """Build a registered host by name.
 
-    ``servo_config``, ``shards`` and ``workers`` are forwarded only when
-    given (not ``None``); giving one to a host that does not accept it is a
+    ``servo_config`` and ``shards`` are forwarded only when given (not
+    ``None``); giving one to a host that does not accept it is a
     ``ValueError``.
     """
-    return host_entry(name).build(
-        engine, game_config, servo_config=servo_config, shards=shards, workers=workers
-    )
+    return host_entry(name).build(engine, game_config, servo_config=servo_config, shards=shards)
 
 
 class GameFactoryView(Mapping):
@@ -135,21 +131,15 @@ class GameFactoryView(Mapping):
     Kept for backward compatibility with the historical ``GAME_FACTORIES``
     dict (``items()``/``values()``/``get()`` and friends come from
     :class:`~collections.abc.Mapping`): each value is a callable
-    ``(engine, game_config, *, servo_config=None, shards=None, workers=None)``
+    ``(engine, game_config, *, servo_config=None, shards=None)``
     that delegates to the registered factory with whatever knobs it accepts.
     """
 
     def __getitem__(self, name: str) -> Callable[..., Any]:
         entry = host_entry(name)
 
-        def factory(engine, game_config=None, *, servo_config=None, shards=None, workers=None):
-            return entry.build(
-                engine,
-                game_config,
-                servo_config=servo_config,
-                shards=shards,
-                workers=workers,
-            )
+        def factory(engine, game_config=None, *, servo_config=None, shards=None):
+            return entry.build(engine, game_config, servo_config=servo_config, shards=shards)
 
         factory.__name__ = f"build_{name.replace('-', '_')}"
         factory.__doc__ = f"Build the {name!r} host (registered via @register_host)."

@@ -14,13 +14,9 @@ store:
 * :mod:`repro.cluster.assembly` — cluster construction for the Servo and
   Opencraft variants, built from the same :class:`~repro.server.ServerBuilder`
   parts as the single-server stack.
-* :mod:`repro.cluster.parallel` — the round executors (serial and
-  process-pool) cluster rounds run their pure compute on.
 
-The re-exports resolve lazily (PEP 562): :mod:`repro.cluster.parallel` has no
-dependency on the server layer and is imported *by* it, so eagerly importing
-:mod:`repro.cluster.assembly` here would close an import cycle through
-``repro.server``.
+The re-exports resolve lazily (PEP 562), so importing the package does not
+pull in the server and Servo layers.
 """
 
 _EXPORTS = {
@@ -33,11 +29,6 @@ _EXPORTS = {
     "build_servo_cluster": "repro.cluster.assembly",
     "build_opencraft_cluster": "repro.cluster.assembly",
     "DEFAULT_ZONE_WIDTH_CHUNKS": "repro.cluster.assembly",
-    "ShardRoundExecutor": "repro.cluster.parallel",
-    "SerialExecutor": "repro.cluster.parallel",
-    "ParallelExecutor": "repro.cluster.parallel",
-    "TerrainTask": "repro.cluster.parallel",
-    "make_executor": "repro.cluster.parallel",
 }
 
 __all__ = list(_EXPORTS)

@@ -23,12 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.cluster.parallel import SerialExecutor, ShardRoundExecutor
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.constructs.compiled import CompiledCircuit
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import ShardKill
 from repro.cluster.partition import WorldPartitioner
+from repro.constructs.batched import BatchedCircuitStepper
 from repro.constructs.circuit import SimulatedConstruct
 from repro.net.message import Message
 from repro.obs.records import RecordRing
@@ -155,6 +155,26 @@ class ClusterChunks:
         return sum(shard.chunks.pending_chunks for shard in self._coordinator.shards)
 
 
+class ShardSteppers:
+    """One :class:`BatchedCircuitStepper` per shard slot.
+
+    Each shard's packed-batch cache survives between rounds instead of being
+    evicted by the next shard's batch.
+    """
+
+    def __init__(self) -> None:
+        self._steppers: dict[int, BatchedCircuitStepper] = {}
+
+    def step_circuits(self, circuits: list["CompiledCircuit"], slot: int = 0) -> list[bool]:
+        """Advance every circuit one step; returns per-circuit fixed-point flags."""
+        if not circuits:
+            return []
+        stepper = self._steppers.get(slot)
+        if stepper is None:
+            stepper = self._steppers[slot] = BatchedCircuitStepper()
+        return stepper.step_batch(circuits)
+
+
 class ClusterCoordinator(TickLoop):
     """Drives a zone-partitioned multi-server world in virtual-time lockstep."""
 
@@ -167,7 +187,6 @@ class ClusterCoordinator(TickLoop):
         session_store: Optional[StorageBackend] = None,
         name: str = "cluster",
         boundary_spawn_every: int = 4,
-        executor: Optional[ShardRoundExecutor] = None,
         shard_factory: Optional[Callable[[int, int], GameServer]] = None,
     ) -> None:
         if len(shards) != partitioner.shard_count:
@@ -181,9 +200,9 @@ class ClusterCoordinator(TickLoop):
         self.config = config
         self.session_store = session_store
         self.name = name
-        #: where each round's pure compute runs (construct batches); shards
-        #: tick through the coordinator's executor rather than their own
-        self.executor = executor if executor is not None else SerialExecutor()
+        #: steps each shard's construct batch between its tick begin and finish
+        #: (perfbench's layer tracer wraps ``executor.step_circuits``)
+        self.executor = ShardSteppers()
         #: every Nth player spawns near a zone boundary (0 disables); the
         #: bounded-area workloads then wander across it, exercising migration
         self.boundary_spawn_every = int(boundary_spawn_every)
@@ -298,10 +317,6 @@ class ClusterCoordinator(TickLoop):
         proxy._disconnected = True
 
     # -- constructs ------------------------------------------------------------------
-
-    def shard_for_block(self, position: BlockPos) -> GameServer:
-        """The shard owning a block position."""
-        return self.shards[self.partitioner.zone_of_block(position)]
 
     def place_construct(self, construct: SimulatedConstruct) -> None:
         """Route a construct to the shard owning its anchor (minimum) cell."""
@@ -561,10 +576,9 @@ class ClusterCoordinator(TickLoop):
         Shards tick strictly in shard order, each begin/step/finish in full
         before the next begins: they share named RNG streams (platform, blob,
         disk, terrain latency), so interleaving phases across shards would
-        reorder draws and change virtual results.  Only the construct batch —
-        pure integer compute between ``tick_begin`` and ``tick_finish`` — is
-        handed to the round executor, which may scatter it across worker
-        processes without touching the draw order.
+        reorder draws and change virtual results.  The construct batch — pure
+        integer compute between ``tick_begin`` and ``tick_finish`` — is
+        stepped by :attr:`executor`, which keeps one packed batch per shard.
         """
         telemetry = self.engine.telemetry
         if telemetry.enabled and telemetry.profiler is not None:
@@ -576,7 +590,6 @@ class ClusterCoordinator(TickLoop):
         if self.fault_injector is not None:
             self._apply_shard_faults()
         start_ms = self.engine.now_ms
-        executor = self.executor
         shard_records = []
         for slot, shard in enumerate(self.shards):
             dead = self._dead.get(slot)
@@ -590,7 +603,7 @@ class ClusterCoordinator(TickLoop):
                 )
                 continue
             progress = shard.tick_begin()
-            fixed_points = executor.step_circuits(
+            fixed_points = self.executor.step_circuits(
                 progress.construct_plan.circuits, slot=slot
             )
             shard_records.append(

@@ -29,10 +29,8 @@ keeps the construct the single source of truth exactly as the compiled path
 does.
 
 The arithmetic itself lives in :func:`advance_states`, a pure function of a
-:class:`CircuitBatchLayout` (arrays only, picklable) and a state vector.
-That split is what lets :mod:`repro.cluster.parallel` ship slices of a batch
-to worker processes: the workers run the exact same kernel, so a scattered
-step is bit-identical to a local one by construction.
+:class:`CircuitBatchLayout` (arrays only) and a state vector, checked by the
+determinism linter's kernel-purity rule.
 """
 
 from __future__ import annotations
@@ -72,10 +70,9 @@ def _batch_signature(circuits: list[CompiledCircuit]) -> tuple:
 
 
 class CircuitBatchLayout:
-    """The state-independent arrays of one packed batch (picklable).
+    """The state-independent arrays of one packed batch.
 
-    Holds only numpy arrays and scalars — no cells, constructs or circuits —
-    so a layout can be pickled to a worker process once and reused there.
+    Holds only numpy arrays and scalars — no cells, constructs or circuits.
     """
 
     __slots__ = (
@@ -150,8 +147,8 @@ def advance_states(layout: CircuitBatchLayout, states: np.ndarray) -> np.ndarray
     """One synchronous step of every packed circuit: pure integer numpy math.
 
     A pure function of (layout, states): no construct access, no randomness,
-    no global state — safe to execute in a worker process and bit-identical
-    to running ``CompiledCircuit.step`` on each circuit individually.
+    no global state — and bit-identical to running ``CompiledCircuit.step``
+    on each circuit individually.
     """
     # Output pass (mirrors the first loop of CompiledCircuit.step).
     outputs = np.zeros(layout.total + 1, dtype=np.int64)
@@ -221,53 +218,6 @@ class BatchedCircuitStepper:
         self.batched_steps = 0
         self.fallback_steps = 0
 
-    def pack(self, circuits: list[CompiledCircuit]) -> _PackedBatch:
-        """The cached packed form of ``circuits``, params refreshed.
-
-        Honours pending player edits exactly like ``CompiledCircuit.step()``
-        before fingerprinting, so an edit always forces a repack.
-        """
-        for circuit in circuits:
-            if circuit.construct.modification_counter != circuit._params_modification:
-                circuit._refresh_params()
-        packed = self._packed
-        if packed is None or packed.signature != _batch_signature(circuits):
-            packed = _PackedBatch(circuits)
-            self._packed = packed
-        return packed
-
-    @staticmethod
-    def read_states(packed: _PackedBatch) -> np.ndarray:
-        """The batch's current state vector, read from the live cells."""
-        return np.fromiter(
-            (cell.state for cell in packed.flat_cells),
-            dtype=np.int64,
-            count=packed.layout.total,
-        )
-
-    def apply_new_states(
-        self, packed: _PackedBatch, states: np.ndarray, new_states: np.ndarray
-    ) -> list[bool]:
-        """Write a computed step back to the cells; return fixed-point flags.
-
-        Writes back only the cells that changed (usually few) and advances
-        every construct's step counter, exactly like the per-circuit path.
-        """
-        changed = new_states != states
-        # Per-circuit fixed-point flags: any changed cell in the segment.
-        row_changed = np.logical_or.reduceat(changed, packed.layout.row_starts)
-
-        changed_positions = np.nonzero(changed)[0]
-        if changed_positions.size:
-            flat_cells = packed.flat_cells
-            changed_values = new_states[changed_positions].tolist()
-            for position, value in zip(changed_positions.tolist(), changed_values):
-                flat_cells[position].state = value
-        for circuit in packed.circuits:
-            circuit.construct.step += 1
-        self.batched_steps += len(packed.circuits)
-        return np.logical_not(row_changed).tolist()
-
     def step_batch(self, circuits: list[CompiledCircuit]) -> list[bool]:
         """Advance every circuit one step; returns per-circuit fixed-point flags.
 
@@ -277,7 +227,31 @@ class BatchedCircuitStepper:
         if len(circuits) < self.min_batch_circuits:
             self.fallback_steps += len(circuits)
             return [circuit.step() for circuit in circuits]
-        packed = self.pack(circuits)
-        states = self.read_states(packed)
+        # Honour pending player edits exactly like ``CompiledCircuit.step()``
+        # before fingerprinting, so an edit always forces a repack.
+        for circuit in circuits:
+            if circuit.construct.modification_counter != circuit._params_modification:
+                circuit._refresh_params()
+        packed = self._packed
+        if packed is None or packed.signature != _batch_signature(circuits):
+            packed = self._packed = _PackedBatch(circuits)
+        flat_cells = packed.flat_cells
+        states = np.fromiter(
+            (cell.state for cell in flat_cells), dtype=np.int64, count=packed.layout.total
+        )
         new_states = advance_states(packed.layout, states)
-        return self.apply_new_states(packed, states, new_states)
+
+        # Write back only the cells that changed (usually few) and advance
+        # every construct's step counter, exactly like the per-circuit path.
+        changed = new_states != states
+        # Per-circuit fixed-point flags: any changed cell in the segment.
+        row_changed = np.logical_or.reduceat(changed, packed.layout.row_starts)
+        changed_positions = np.nonzero(changed)[0]
+        if changed_positions.size:
+            changed_values = new_states[changed_positions].tolist()
+            for position, value in zip(changed_positions.tolist(), changed_values):
+                flat_cells[position].state = value
+        for circuit in packed.circuits:
+            circuit.construct.step += 1
+        self.batched_steps += len(packed.circuits)
+        return np.logical_not(row_changed).tolist()

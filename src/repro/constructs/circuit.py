@@ -94,10 +94,6 @@ class SimulatedConstruct:
     def contains(self, pos: BlockPos) -> bool:
         return pos in self._cells
 
-    def neighbours_of(self, pos: BlockPos) -> list[Cell]:
-        """Cells adjacent (6-connectivity) to ``pos`` within this construct."""
-        return [self._cells[p] for p in pos.neighbours() if p in self._cells]
-
     def bounding_box(self) -> tuple[BlockPos, BlockPos]:
         xs = [p.x for p in self._cells]
         ys = [p.y for p in self._cells]

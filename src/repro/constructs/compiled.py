@@ -133,10 +133,6 @@ class CompiledCircuit:
         self._masks = masks
         self._params_modification = modification
 
-    @property
-    def cell_count(self) -> int:
-        return len(self._cells)
-
     def step(self) -> bool:
         """Advance the construct one step; return True on a fixed point.
 

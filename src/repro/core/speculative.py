@@ -296,7 +296,7 @@ class SpeculativeConstructBackend(ConstructBackend):
 
         The split exposes phase 2 as the plan's pure batch: phase 1 runs
         here, phases 3 runs in ``finish`` once the batch has been stepped —
-        by this backend inline, or by a cluster round's executor.
+        by this backend inline, or by a cluster round.
         """
         report = ConstructTickReport(
             total_constructs=len(self._constructs), construct_tick=True

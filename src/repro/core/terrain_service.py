@@ -11,9 +11,9 @@ deterministic, so the produced chunk is identical to a locally generated one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
-from repro.cluster.parallel import ShardRoundExecutor, TerrainTask
 from repro.faas.function import FunctionOutput, Invocation
 from repro.faas.platform import FaasPlatform
 from repro.server.chunkmanager import GenerationResult, TerrainProvider
@@ -46,21 +46,18 @@ class TerrainRequest:
     cz: int
 
 
-def make_terrain_handler(
-    executor: Optional[ShardRoundExecutor] = None,
-) -> Callable[[TerrainRequest], FunctionOutput]:
+def make_terrain_handler() -> Callable[[TerrainRequest], FunctionOutput]:
     """Create the FaaS handler that generates terrain chunks.
 
     Generators are cached per (world type, seed) inside the handler, mirroring
     a warm function container reusing its initialised generator.
 
-    With a round ``executor``, the handler returns a
-    :class:`~repro.cluster.parallel.TerrainTask` instead of the chunk itself:
-    the platform runs handlers at (virtual) request time but delivers results
-    at completion time, so a pooled executor generates the chunk in a worker
-    process during that window.  The simulated invocation — its virtual work,
-    latency and billing — is unchanged; generation is pure, so the resolved
-    chunk is byte-identical.
+    The handler's value is a zero-argument callable that generates the chunk,
+    not the chunk itself: the platform runs handlers at (virtual) request time
+    and keeps every invocation's result, so the provider generates the chunk
+    at completion time and the invocation record never holds chunk data.  The
+    simulated invocation — its virtual work, latency and billing — is the
+    same; generation is pure, so the chunk is byte-identical.
     """
     generators: dict[tuple[str, int], TerrainGenerator] = {}
 
@@ -71,13 +68,9 @@ def make_terrain_handler(
         if key not in generators:
             generators[key] = make_terrain_generator(payload.world_type, seed=payload.seed)
         generator = generators[key]
-        work_ms = terrain_generation_work_ms(generator)
-        position = ChunkPos(payload.cx, payload.cz)
-        if executor is not None:
-            task = executor.submit_terrain(generator, position)
-            return FunctionOutput(value=task, work_ms_single_vcpu=work_ms)
         return FunctionOutput(
-            value=generator.generate_chunk(position), work_ms_single_vcpu=work_ms
+            value=partial(generator.generate_chunk, ChunkPos(payload.cx, payload.cz)),
+            work_ms_single_vcpu=terrain_generation_work_ms(generator),
         )
 
     return handler
@@ -126,11 +119,6 @@ class ServerlessTerrainProvider(TerrainProvider):
 
         def on_reply(invocation: Invocation) -> None:
             self._pending -= 1
-            chunk = invocation.result
-            if isinstance(chunk, TerrainTask):
-                # The handler deferred generation to a worker process; the
-                # chunk is (at worst: becomes) ready now, at completion time.
-                chunk = chunk.resolve()
             telemetry = self.engine.telemetry
             if telemetry.enabled:
                 telemetry.span(
@@ -146,11 +134,11 @@ class ServerlessTerrainProvider(TerrainProvider):
                         "attempt": _attempt,
                     },
                 )
-            if invocation.status != "ok" or not isinstance(chunk, Chunk):
-                # A timed-out (or failed/throttled) invocation delivers None
-                # where a chunk is expected: count it, retry a bounded number
-                # of times, then fall back to local generation — terrain must
-                # eventually arrive, but never by retrying forever.
+            if invocation.status != "ok":
+                # A timed-out (or failed/throttled) invocation delivers no
+                # chunk: count it, retry a bounded number of times, then fall
+                # back to local generation — terrain must eventually arrive,
+                # but never by retrying forever.
                 self.engine.metrics.increment("terrain_generation_failures")
                 if _attempt < self.max_attempts:
                     self.engine.metrics.increment("terrain_generation_retries")
@@ -175,7 +163,7 @@ class ServerlessTerrainProvider(TerrainProvider):
                 )
                 return
             callback(
-                chunk,
+                invocation.result(),
                 GenerationResult(
                     position=position,
                     latency_ms=invocation.latency_ms,

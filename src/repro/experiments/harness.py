@@ -83,7 +83,6 @@ def build_game_server(
     game_config: GameConfig | None = None,
     servo_config: ServoConfig | None = None,
     shards: int | None = None,
-    workers: int | None = None,
 ) -> GameHost:
     """Build a game host by name, via the :mod:`repro.api.hosts` registry.
 
@@ -92,9 +91,8 @@ def build_game_server(
     "servo-cluster") return a :class:`~repro.cluster.ClusterCoordinator` with
     ``shards`` zone shards.  Both satisfy the
     :class:`~repro.workload.GameHost` surface the experiments drive.  The
-    ``servo_config``, ``shards`` and ``workers`` knobs are forwarded only
-    when given; giving one to a variant that does not accept it is a
-    ``ValueError``.
+    ``servo_config`` and ``shards`` knobs are forwarded only when given;
+    giving one to a variant that does not accept it is a ``ValueError``.
     """
     return build_host(
         game,
@@ -102,7 +100,6 @@ def build_game_server(
         game_config or GameConfig(),
         servo_config=servo_config,
         shards=shards,
-        workers=workers,
     )
 
 

@@ -28,7 +28,7 @@ interest-enabled runs stay bit-deterministic for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -107,11 +107,6 @@ class FlushReport:
     staleness_sum: int = 0
     #: largest accumulated drift (blocks) observed at a far flush
     drift_max: float = 0.0
-
-    @property
-    def staleness_mean(self) -> float:
-        return self.staleness_sum / self.flushes if self.flushes else 0.0
-
 
 class InterestMap:
     """Chunk-radius subscriptions with tiered, budget-bounded flushing."""

@@ -3,7 +3,7 @@
 ``repro lint`` (see :mod:`repro.lint.engine`) walks the package source with
 the stdlib :mod:`ast` and enforces five named, suppressible rules — DET001
 wall clock, DET002 ambient randomness, DET003 unordered-set iteration,
-DET004 pool-boundary kernel purity, DET005 address-dependent values.  Inline
+DET004 kernel purity, DET005 address-dependent values.  Inline
 ``# det: allow[DET00x] reason`` pragmas (reason mandatory) and the
 ``lint.toml`` quarantine table are the only ways to silence a finding.
 

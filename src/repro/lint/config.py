@@ -10,7 +10,7 @@ the code it exempts::
     DET001 = ["obs/profiling.py"]
 
     [lint.kernels]
-    roots = ["repro.cluster.parallel._generate_chunk_task"]
+    roots = ["repro.constructs.batched.advance_states"]
 """
 
 from __future__ import annotations
@@ -27,16 +27,11 @@ DEFAULT_ALLOWLIST: dict[str, tuple[str, ...]] = {
     "DET001": ("obs/profiling.py",),
 }
 
-#: functions that cross the process-pool boundary of
-#: :mod:`repro.cluster.parallel` and therefore must satisfy DET004 even
-#: without a ``@pure_kernel`` decorator (the decorator is preferred; this
-#: table exists so un-importable or third-party-registered entry points can
-#: still be pinned by qualified name).
-DEFAULT_KERNEL_ROOTS: tuple[str, ...] = (
-    "repro.constructs.batched.advance_states",
-    "repro.cluster.parallel._generate_chunk_task",
-    "repro.cluster.parallel._advance_batch_task",
-)
+#: pure kernels that must satisfy DET004 even without a ``@pure_kernel``
+#: decorator (the decorator is preferred; this table pins them by qualified
+#: name so deleting a marker cannot silently drop the check).  A root that
+#: does not resolve to a function is itself a DET004 finding.
+DEFAULT_KERNEL_ROOTS: tuple[str, ...] = ("repro.constructs.batched.advance_states",)
 
 CONFIG_FILENAME = "lint.toml"
 

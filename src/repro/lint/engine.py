@@ -35,7 +35,7 @@ RULE_TABLE: dict[str, dict[str, str]] = {
         for rule in MODULE_RULES
     },
     "DET004": {
-        "title": "pool-boundary kernels must be pure, transitively",
+        "title": "marked kernels must be pure, transitively",
         "hint": DET004_HINT,
     },
 }

@@ -2,7 +2,7 @@
 
 This module is deliberately tiny and dependency-free: engine modules import
 it to tag functions, and pulling a marker in must never drag the analysis
-machinery (or anything else) into a hot import path or a worker process.
+machinery (or anything else) into a hot import path.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ F = TypeVar("F", bound=Callable)
 
 
 def pure_kernel(func: F) -> F:
-    """Mark ``func`` as a pure kernel eligible to cross a process-pool boundary.
+    """Mark ``func`` as a pure kernel.
 
     A pure kernel must be a closed-form function of its arguments: no writes
     to globals or closures, no mutation of its parameters, no I/O, no

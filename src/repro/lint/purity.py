@@ -1,11 +1,13 @@
-"""DET004: transitive purity of pool-boundary kernels.
+"""DET004: transitive purity of marked kernels.
 
-Functions that cross the :mod:`repro.cluster.parallel` executor boundary run
-in worker processes whose results must be a closed-form function of their
-pickled inputs — any hidden state (globals, parameter mutation, I/O,
-randomness, wall clock) makes ``workers=1`` and ``workers=N`` diverge.  This
-pass checks every registered kernel root (config table + every function
-decorated ``@pure_kernel``) and follows intra-package calls transitively.
+A pure kernel (such as the batched circuit step) must be a closed-form
+function of its inputs — any hidden state (globals, parameter mutation, I/O,
+randomness, wall clock) would let the same inputs produce different results.
+This pass checks every registered kernel root (config table + every function
+decorated ``@pure_kernel``) and follows intra-package calls transitively.  A
+configured root that does not resolve to a function of the linted tree is
+itself a finding, so deleting or renaming a kernel cannot silently drop its
+check.
 
 What counts as a violation inside a kernel:
 
@@ -54,6 +56,10 @@ HINT = (
     "into an argument, return new values instead of mutating, or vet the "
     "line with '# det: allow[DET004] <reason>'"
 )
+UNRESOLVED_HINT = (
+    "point the root at an existing module-level function, or remove it from "
+    "lint.toml [lint.kernels] roots / DEFAULT_KERNEL_ROOTS"
+)
 
 
 @dataclass
@@ -75,7 +81,7 @@ class PurityChecker:
     """Whole-package DET004 pass over the modules the engine parsed."""
 
     rule_id = "DET004"
-    title = "pool-boundary kernels must be pure, transitively"
+    title = "marked kernels must be pure, transitively"
 
     def __init__(self, modules: dict[str, ModuleInfo], kernel_roots: tuple[str, ...]) -> None:
         self.modules = modules
@@ -109,6 +115,18 @@ class PurityChecker:
 
     # -- the pass ---------------------------------------------------------------------
 
+    def _root_owner(self, qualified: str) -> ModuleInfo | None:
+        """The linted module or package an unresolved root claims to live in.
+
+        The root's own module, else its parent package: roots that point
+        outside the linted tree altogether belong to another lint run.
+        """
+        module_name = qualified.rpartition(".")[0]
+        module = self.modules.get(module_name)
+        if module is None:
+            module = self.modules.get(module_name.rpartition(".")[0])
+        return module
+
     def check(self) -> Iterator[Finding]:
         seen: set[tuple[str, str]] = set()
         roots: list[tuple[ModuleInfo, ast.FunctionDef]] = []
@@ -116,6 +134,17 @@ class PurityChecker:
             resolved = self._resolve_root(qualified)
             if resolved is not None:
                 roots.append(resolved)
+                continue
+            owner = self._root_owner(qualified)
+            if owner is not None:
+                yield Finding(
+                    rule=self.rule_id,
+                    path=owner.rel_path,
+                    line=1,
+                    col=1,
+                    message=f"kernel root {qualified} does not resolve to a function",
+                    hint=UNRESOLVED_HINT,
+                )
         roots.extend(self._decorated_kernels())
         for module, func in roots:
             for violation in self._function_violations(module, func):

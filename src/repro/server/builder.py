@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.cluster.parallel import ShardRoundExecutor, make_executor
-from repro.interest import InterestMap
 from repro.server.chunkmanager import (
     ChunkManager,
     LocalTerrainProvider,
@@ -55,11 +53,9 @@ class ServerBuilder:
         self._terrain_provider: Optional[TerrainProvider] = None
         self._construct_backend: Optional[ConstructBackend] = None
         self._generation_workers = 2
-        self._executor: Optional[ShardRoundExecutor] = None
         self._region: Optional[OwnershipRegion] = None
         self._runtime: Optional[ServerRuntime] = None
         self._player_ids: Optional[Iterator[int]] = None
-        self._interest: Optional[InterestMap] = None
 
     # -- services -------------------------------------------------------------------
 
@@ -86,21 +82,6 @@ class ServerBuilder:
         self._construct_backend = backend
         return self
 
-    def with_workers(self, workers: Optional[int]) -> "ServerBuilder":
-        """Host worker processes for the round executor (``None``/1 = inline).
-
-        Wall-clock only: virtual results are bit-identical for every value
-        (see :mod:`repro.cluster.parallel`).
-        """
-        if workers is not None:
-            self._executor = make_executor(workers)
-        return self
-
-    def with_executor(self, executor: Optional[ShardRoundExecutor]) -> "ServerBuilder":
-        """Use a specific round executor (cluster shards share the coordinator's)."""
-        self._executor = executor
-        return self
-
     # -- cluster / runtime ----------------------------------------------------------
 
     def with_region(self, region: Optional[OwnershipRegion]) -> "ServerBuilder":
@@ -118,28 +99,10 @@ class ServerBuilder:
         self._player_ids = player_ids
         return self
 
-    def with_interest(self, interest: Optional[InterestMap]) -> "ServerBuilder":
-        """Use a pre-built area-of-interest map (tests, custom budgets).
-
-        Without this, :meth:`build` derives one from the config's
-        ``interest_radius_chunks`` knobs; a ``None`` radius keeps the legacy
-        observe-everything broadcast.
-        """
-        self._interest = interest
-        return self
-
     # -- assembly -------------------------------------------------------------------
 
     def build(self) -> GameServer:
         config = self.config
-        interest = self._interest
-        if interest is None and config.interest_enabled:
-            interest = InterestMap(
-                radius_chunks=config.interest_radius_chunks,
-                near_radius_chunks=config.interest_near_radius_chunks,
-                max_staleness_ticks=config.interest_max_staleness_ticks,
-                max_drift_blocks=config.interest_max_drift_blocks,
-            )
         generator = make_terrain_generator(config.world_type, seed=config.world_seed)
         world = VoxelWorld()
         storage = self._storage
@@ -149,7 +112,6 @@ class ServerBuilder:
             self.engine,
             generator,
             workers=self._generation_workers,
-            executor=self._executor,
         )
         backend = self._construct_backend or LocalConstructBackend(
             interval=self._cost_model.construct_tick_interval
@@ -176,6 +138,4 @@ class ServerBuilder:
             runtime=self._runtime,
             region=self._region,
             player_ids=self._player_ids,
-            executor=self._executor,
-            interest=interest,
         )

@@ -11,11 +11,8 @@ game server under overload.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
-    from repro.cluster.parallel import ShardRoundExecutor
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional
 
 from repro.constructs.circuit import SimulatedConstruct
 from repro.interest import InterestMap
@@ -72,7 +69,7 @@ class TickInProgress:
 
     Holds everything ``tick_finish`` needs to complete the tick once the
     construct plan's pure batch has been stepped — by the server itself, or
-    by a cluster coordinator's round executor.
+    by a cluster coordinator.
     """
 
     start_ms: float
@@ -148,8 +145,6 @@ class GameServer(TickLoop):
         runtime: Optional[ServerRuntime] = None,
         region: Optional[OwnershipRegion] = None,
         player_ids: Optional[Iterator[int]] = None,
-        executor: Optional["ShardRoundExecutor"] = None,
-        interest: Optional[InterestMap] = None,
     ) -> None:
         self.engine = engine
         self.config = config
@@ -159,9 +154,6 @@ class GameServer(TickLoop):
         self.cost_model = cost_model
         self.storage = storage
         self.name = name
-        #: steps this server's construct batches when set (``--workers`` knob);
-        #: cluster shards leave this None — the coordinator's executor is used
-        self.executor = executor
         #: typed handle to backend-specific services (e.g. ServoRuntime)
         self.runtime = runtime
         #: ownership region when this server is one shard of a cluster
@@ -187,8 +179,8 @@ class GameServer(TickLoop):
         #: (legacy broadcast only — interest mode counts actual flushes)
         self._broadcast_clock = BroadcastClock()
         #: area-of-interest routing table; None = legacy observe-everything
-        self.interest = interest
-        if self.interest is None and config.interest_enabled:
+        self.interest: Optional[InterestMap] = None
+        if config.interest_enabled:
             self.interest = InterestMap(
                 radius_chunks=config.interest_radius_chunks,
                 near_radius_chunks=config.interest_near_radius_chunks,
@@ -215,11 +207,6 @@ class GameServer(TickLoop):
         self.degradation = None
         #: the run's fault injector (timeline access), set when faults install
         self.fault_injector = None
-
-    @property
-    def servo(self) -> Optional[ServerRuntime]:
-        """Backward-compatible alias for the typed :attr:`runtime` handle."""
-        return self.runtime
 
     # -- player lifecycle -----------------------------------------------------------
 
@@ -653,8 +640,8 @@ class GameServer(TickLoop):
         ticks at the same virtual start time; the coordinator then advances
         the shared clock once by the slowest shard's duration (lockstep).
         The coordinator drives :meth:`tick_begin`/:meth:`tick_finish`
-        directly instead of this method, interposing its round executor at
-        the construct-batch boundary.
+        directly instead of this method, stepping each shard's construct
+        batch itself.
         """
         telemetry = self.engine.telemetry
         if telemetry.enabled and telemetry.profiler is not None:
@@ -664,10 +651,7 @@ class GameServer(TickLoop):
 
     def _tick(self, advance_clock: bool) -> TickRecord:
         progress = self.tick_begin()
-        fixed_points = None
-        if self.executor is not None:
-            fixed_points = self.executor.step_circuits(progress.construct_plan.circuits)
-        return self.tick_finish(progress, fixed_points, advance_clock=advance_clock)
+        return self.tick_finish(progress, advance_clock=advance_clock)
 
     # -- reporting ---------------------------------------------------------------------------
 

@@ -16,14 +16,13 @@ translated into tick time by the cost model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.constructs.batched import BatchedCircuitStepper
 from repro.constructs.circuit import SimulatedConstruct
 from repro.constructs.compiled import CompiledCircuit, compile_circuit
 from repro.constructs.simulator import ConstructSimulator
-from repro.constructs.state import ConstructState
 from repro.world.coords import BlockPos
 
 
@@ -55,12 +54,12 @@ class ConstructTickPlan:
     """A backend tick split at its pure-compute boundary.
 
     ``circuits`` is the batch of independent compiled circuits the tick must
-    advance by exactly one step — pure integer compute with no randomness, so
-    a :class:`~repro.cluster.parallel.ShardRoundExecutor` may run it anywhere
-    (inline, scattered over worker processes) as long as the resulting
-    fixed-point flags are handed to ``finish`` in circuit order.  Everything
-    that touches shared simulation state (RNG streams, metrics, speculation
-    records) stays inside ``begin_tick``/``finish`` on the coordinator side.
+    advance by exactly one step — pure integer compute with no randomness.
+    A single server steps it with :meth:`step_inline`; a cluster coordinator
+    steps every shard's batch itself, keeping one packed batch per shard.
+    Either way the fixed-point flags go to ``finish`` in circuit order.
+    Everything that touches shared simulation state (RNG streams, metrics,
+    speculation records) stays inside ``begin_tick``/``finish``.
     """
 
     circuits: list[CompiledCircuit]
@@ -102,7 +101,7 @@ class ConstructBackend:
 
         Backends that cannot split simply run the whole tick now and return
         an empty plan; backends with a batchable step override this so a
-        cluster round can execute the batch through its executor.
+        cluster round can step the batch itself.
         """
         report = self.tick(tick_index)
         return ConstructTickPlan(circuits=[], finish=lambda _flags: report)

@@ -25,13 +25,11 @@ def _make_local_server(
     cost_model: TickCostModel,
     name: str,
     generation_workers: int,
-    workers: int | None = None,
 ) -> GameServer:
     return (
         ServerBuilder(engine, config, name=name)
         .with_cost_model(cost_model)
         .with_generation_workers(generation_workers)
-        .with_workers(workers)
         .build()
     )
 
@@ -40,7 +38,6 @@ def _make_local_server(
 def make_opencraft(
     engine: SimulationEngine,
     config: GameConfig | None = None,
-    workers: int | None = None,
 ) -> GameServer:
     """Build an Opencraft baseline server (all components local)."""
     return _make_local_server(
@@ -49,7 +46,6 @@ def make_opencraft(
         cost_model=OPENCRAFT_COST_MODEL,
         name="opencraft",
         generation_workers=2,
-        workers=workers,
     )
 
 
@@ -57,7 +53,6 @@ def make_opencraft(
 def make_minecraft(
     engine: SimulationEngine,
     config: GameConfig | None = None,
-    workers: int | None = None,
 ) -> GameServer:
     """Build a Minecraft baseline server (all components local, official-server profile)."""
     return _make_local_server(
@@ -66,5 +61,4 @@ def make_minecraft(
         cost_model=MINECRAFT_COST_MODEL,
         name="minecraft",
         generation_workers=2,
-        workers=workers,
     )

@@ -61,9 +61,6 @@ class ChunkPos:
                 out.append(ChunkPos(self.cx + dx, self.cz + dz))
         return out
 
-    def distance_to(self, other: "ChunkPos") -> float:
-        return math.hypot(self.cx - other.cx, self.cz - other.cz)
-
     def key(self) -> str:
         """A stable string key used as a storage object name."""
         return f"chunk_{self.cx}_{self.cz}"

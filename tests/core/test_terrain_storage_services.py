@@ -33,7 +33,7 @@ def make_platform(engine, memory_mb=2048):
 def test_terrain_handler_generates_the_requested_chunk(engine):
     handler = make_terrain_handler()
     output = handler(TerrainRequest(world_type="default", seed=11, cx=3, cz=-2))
-    chunk = output.value
+    chunk = output.value()
     assert chunk.position == ChunkPos(3, -2)
     assert output.work_ms_single_vcpu == pytest.approx(
         terrain_generation_work_ms(DefaultTerrainGenerator(11))
@@ -44,7 +44,7 @@ def test_terrain_handler_generates_the_requested_chunk(engine):
 
 def test_terrain_handler_matches_local_generation_exactly():
     handler = make_terrain_handler()
-    remote = handler(TerrainRequest(world_type="default", seed=5, cx=1, cz=1)).value
+    remote = handler(TerrainRequest(world_type="default", seed=5, cx=1, cz=1)).value()
     local = make_terrain_generator("default", seed=5).generate_chunk(ChunkPos(1, 1))
     assert np.array_equal(remote.blocks, local.blocks)
 

@@ -1,25 +1,31 @@
-"""Runtime contract of the ``@pure_kernel``-marked pool-boundary functions.
+"""Runtime contract of the ``@pure_kernel``-marked kernels.
 
 DET004 checks purity statically; this suite exercises the same contract at
-runtime: calling each kernel twice on (copies of) the same inputs must
-return identical results and leave every argument bit-identical.
+runtime: calling a kernel twice on (copies of) the same inputs must return
+identical results and leave every argument bit-identical.  Terrain
+generation is checked the same way, through the generator itself.
 """
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 
-from repro.cluster.parallel import _advance_batch_task, _generate_chunk_task
 from repro.constructs.batched import CircuitBatchLayout, advance_states
 from repro.constructs.compiled import compile_circuit
 from repro.constructs.library import build_clock, build_counter_farm, build_wire_line
+from repro.lint.config import DEFAULT_KERNEL_ROOTS
 from repro.lint.markers import is_pure_kernel, pure_kernel
+from repro.world.coords import ChunkPos
+from repro.world.terrain import make_terrain_generator
 
 
-def test_pool_boundary_functions_carry_the_marker():
+def test_kernel_roots_carry_the_marker():
     assert is_pure_kernel(advance_states)
-    assert is_pure_kernel(_generate_chunk_task)
-    assert is_pure_kernel(_advance_batch_task)
+    for qualified in DEFAULT_KERNEL_ROOTS:
+        module_name, _, name = qualified.rpartition(".")
+        assert is_pure_kernel(getattr(importlib.import_module(module_name), name)), qualified
 
 
 def test_marker_is_a_transparent_decorator():
@@ -28,7 +34,7 @@ def test_marker_is_a_transparent_decorator():
 
     assert not is_pure_kernel(plain)
     marked = pure_kernel(plain)
-    assert marked is plain  # no wrapper: pickling by reference keeps working
+    assert marked is plain  # no wrapper: the function object itself is returned
     assert is_pure_kernel(marked)
     assert marked(2) == 3
 
@@ -57,13 +63,13 @@ def _layout_snapshot(layout: CircuitBatchLayout) -> dict[str, np.ndarray]:
     }
 
 
-def _advance_twice_asserting_purity(kernel):
+def test_advance_states_double_call_no_argument_mutation():
     layout, states = _batch_inputs()
     states_before = states.copy()
     arrays_before = _layout_snapshot(layout)
 
-    first = kernel(layout, states.copy())
-    second = kernel(layout, states.copy())
+    first = advance_states(layout, states.copy())
+    second = advance_states(layout, states.copy())
 
     assert (first == second).all(), "same inputs must give the same step"
     assert first is not states
@@ -72,19 +78,13 @@ def _advance_twice_asserting_purity(kernel):
         assert (getattr(layout, name) == before).all(), f"layout.{name} was mutated"
 
 
-def test_advance_states_double_call_no_argument_mutation():
-    _advance_twice_asserting_purity(advance_states)
-
-
-def test_advance_batch_task_double_call_no_argument_mutation():
-    _advance_twice_asserting_purity(_advance_batch_task)
-
-
-def test_generate_chunk_task_is_pure_in_its_arguments():
-    spec = ("default", 1234, 3, -2)
-    first = _generate_chunk_task(*spec)
-    second = _generate_chunk_task(*spec)
+def test_terrain_generation_is_pure_in_seed_and_position():
+    warm = make_terrain_generator("default", seed=1234)
+    first = warm.generate_chunk(ChunkPos(3, -2))
+    second = warm.generate_chunk(ChunkPos(3, -2))
+    fresh = make_terrain_generator("default", seed=1234).generate_chunk(ChunkPos(3, -2))
     assert first is not second
-    assert (first.blocks == second.blocks).all()
-    assert first.content_hash() == second.content_hash()
-    assert first.position == second.position
+    for chunk in (second, fresh):
+        assert (first.blocks == chunk.blocks).all()
+        assert first.content_hash() == chunk.content_hash()
+        assert first.position == chunk.position

@@ -240,6 +240,30 @@ def test_det004_config_roots_cover_undetected_kernels(lint_snippets):
     assert rules_of(report) == ["DET004"]
 
 
+def test_det004_reports_configured_roots_that_do_not_resolve(lint_snippets):
+    config = LintConfig(
+        kernel_roots=(
+            "pkg.mod.renamed_kernel",  # module exists, function does not
+            "pkg.sub.deleted.kernel",  # module deleted from its package
+            "elsewhere.mod.kernel",  # outside the linted tree: not this run's
+        )
+    )
+    report = lint_snippets({
+        "__init__.py": "",
+        "mod.py": """
+            def kernel(x):
+                return x
+        """,
+        "sub/__init__.py": "",
+    }, config=config)
+    assert rules_of(report) == ["DET004"] * 2
+    by_path = {finding.path: finding.message for finding in report.unsuppressed}
+    assert by_path == {
+        "mod.py": "kernel root pkg.mod.renamed_kernel does not resolve to a function",
+        "sub/__init__.py": "kernel root pkg.sub.deleted.kernel does not resolve to a function",
+    }
+
+
 # -- DET005: address dependence -------------------------------------------------------
 
 
