@@ -13,8 +13,6 @@ property Servo relies on when it offloads generation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.world.block import BlockType
@@ -24,6 +22,31 @@ from repro.world.noise import LayeredNoise
 
 SEA_LEVEL = 62
 FLAT_SURFACE_LEVEL = 64
+
+
+def _column_table() -> np.ndarray:
+    """The finished default-world column for every surface height.
+
+    Row ``h`` holds the column under and above a surface at ``y = h``:
+    bedrock at ``y = 0``, stone up to three blocks below the surface, dirt
+    for the three blocks under it (overwriting the bedrock when ``h <= 3``),
+    air at the surface itself, and water from above the surface up to sea
+    level.  The surface block is chosen per column by the generator.
+    """
+    y = np.arange(CHUNK_HEIGHT)[None, :]
+    h = np.arange(CHUNK_HEIGHT)[:, None]
+    table = np.zeros((CHUNK_HEIGHT, CHUNK_HEIGHT), dtype=np.uint8)
+    table[:, 0] = int(BlockType.BEDROCK)
+    table[(y >= 1) & (y < h - 3)] = int(BlockType.STONE)
+    table[(y >= h - 3) & (y < h)] = int(BlockType.DIRT)
+    table[(y > h) & (y <= SEA_LEVEL)] = int(BlockType.WATER)
+    return table
+
+
+#: surface height -> column, indexed ``[height, y]``
+_COLUMNS = _column_table()
+#: local x and z of every column, indexed ``[x, z]``
+_LOCAL_X, _LOCAL_Z = np.meshgrid(np.arange(CHUNK_SIZE), np.arange(CHUNK_SIZE), indexing="ij")
 
 
 class TerrainGenerator:
@@ -89,55 +112,38 @@ class DefaultTerrainGenerator(TerrainGenerator):
         self._roughness_noise = LayeredNoise(seed=self.seed + 7919, octaves=3, base_scale=256.0)
         self._moisture_noise = LayeredNoise(seed=self.seed + 104729, octaves=3, base_scale=160.0)
 
-    def surface_height_at(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Surface height for world columns (vectorised)."""
-        base = self._height_noise.sample(x, z)
-        roughness = self._roughness_noise.sample(x, z)
-        # Roughness modulates the terrain amplitude: plains vs mountains.
-        amplitude = 20.0 + 70.0 * roughness
-        height = SEA_LEVEL - 10.0 + amplitude * base
-        return np.clip(np.round(height), 1, CHUNK_HEIGHT - 2).astype(np.int64)
-
     def generate_chunk(self, position: ChunkPos) -> Chunk:
-        chunk = Chunk(position=position, generated_by=f"default:{self.seed}")
         origin = chunk_origin(position)
         xs = np.arange(origin.x, origin.x + CHUNK_SIZE)
         zs = np.arange(origin.z, origin.z + CHUNK_SIZE)
-        grid_x, grid_z = np.meshgrid(xs, zs, indexing="ij")
-        heights = self.surface_height_at(grid_x, grid_z)
-        moisture = self._moisture_noise.sample(grid_x, grid_z)
+        base = self._height_noise.sample_grid(xs, zs)
+        roughness = self._roughness_noise.sample_grid(xs, zs)
+        moisture = self._moisture_noise.sample_grid(xs, zs)
+        # Roughness modulates the terrain amplitude: plains vs mountains.
+        amplitude = 20.0 + 70.0 * roughness
+        height = SEA_LEVEL - 10.0 + amplitude * base
+        heights = np.clip(np.round(height), 1, CHUNK_HEIGHT - 2).astype(np.intp)
 
-        blocks = chunk.blocks
-        blocks[:, 0, :] = int(BlockType.BEDROCK)
-        y_axis = np.arange(CHUNK_HEIGHT).reshape(1, CHUNK_HEIGHT, 1)
-        height_grid = heights.reshape(CHUNK_SIZE, 1, CHUNK_SIZE)
-
-        # Fill stone below the surface, dirt near the surface.
-        stone_mask = (y_axis >= 1) & (y_axis < height_grid - 3)
-        dirt_mask = (y_axis >= height_grid - 3) & (y_axis < height_grid)
-        blocks[stone_mask.nonzero()] = int(BlockType.STONE)
-        blocks[dirt_mask.nonzero()] = int(BlockType.DIRT)
-
+        # Strata and water come from the column table in one gather, (x, z, y)
+        # transposed to the chunk's (x, y, z).
+        blocks = np.ascontiguousarray(_COLUMNS[heights].transpose(0, 2, 1))
         # Surface material depends on altitude and moisture.
-        for lx in range(CHUNK_SIZE):
-            for lz in range(CHUNK_SIZE):
-                surface_y = int(heights[lx, lz])
-                wetness = float(moisture[lx, lz])
-                if surface_y <= SEA_LEVEL:
-                    surface = BlockType.SAND if wetness < 0.6 else BlockType.GRAVEL
-                elif surface_y >= SEA_LEVEL + 55:
-                    surface = BlockType.SNOW
-                elif wetness < 0.25:
-                    surface = BlockType.SAND
-                else:
-                    surface = BlockType.GRASS
-                blocks[lx, surface_y, lz] = int(surface)
-                # Fill water above low terrain up to sea level.
-                if surface_y < SEA_LEVEL:
-                    blocks[lx, surface_y + 1:SEA_LEVEL + 1, lz] = int(BlockType.WATER)
-
-        chunk.dirty = False
-        return chunk
+        surface = np.where(
+            heights <= SEA_LEVEL,
+            np.where(moisture < 0.6, int(BlockType.SAND), int(BlockType.GRAVEL)),
+            np.where(
+                heights >= SEA_LEVEL + 55,
+                int(BlockType.SNOW),
+                np.where(moisture < 0.25, int(BlockType.SAND), int(BlockType.GRASS)),
+            ),
+        )
+        blocks[_LOCAL_X, heights, _LOCAL_Z] = surface
+        return Chunk(
+            position=position,
+            blocks=blocks,
+            generated_by=f"default:{self.seed}",
+            dirty=False,
+        )
 
     def generation_work_units(self) -> float:
         return 1.0

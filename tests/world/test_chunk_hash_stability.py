@@ -5,7 +5,8 @@ builtin ``hash()``.  CPython salts ``str``/``bytes`` hashes per process
 (``PYTHONHASHSEED``), so the value silently differed between processes while
 the docstring claimed stability — exactly the bug class DET005 exists to
 catch.  The digest-based replacement is pinned here under explicit, distinct
-hash seeds.
+hash seeds, and so are two default-world chunks: their values were recorded
+from the per-column generator, so any change to default terrain shows here.
 """
 
 from __future__ import annotations
@@ -14,8 +15,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.world.coords import BlockPos, ChunkPos
-from repro.world.terrain import FlatTerrainGenerator
+from repro.world.terrain import DefaultTerrainGenerator, FlatTerrainGenerator
+
+#: (seed, chunk position, content hash) of default-world chunks
+PINNED_DEFAULT_CHUNKS = [
+    (1234, (3, -2), 15297289395554904622),
+    (1, (-40, 17), 15351165291420115465),
+]
 
 _SNIPPET = """
 from repro.world.coords import ChunkPos
@@ -26,10 +35,19 @@ print(chunk.content_hash())
 """
 
 
-def _hash_in_subprocess(hash_seed: str) -> int:
+_DEFAULT_SNIPPET = """
+from repro.world.coords import ChunkPos
+from repro.world.terrain import DefaultTerrainGenerator
+
+chunk = DefaultTerrainGenerator(seed={seed}).generate_chunk(ChunkPos({cx}, {cz}))
+print(chunk.content_hash())
+"""
+
+
+def _hash_in_subprocess(hash_seed: str, snippet: str = _SNIPPET) -> int:
     src_dir = Path(__file__).resolve().parents[2] / "src"
     result = subprocess.run(
-        [sys.executable, "-c", _SNIPPET],
+        [sys.executable, "-c", snippet],
         capture_output=True,
         text=True,
         check=True,
@@ -59,3 +77,11 @@ def test_content_hash_tracks_content_and_position():
     origin = BlockPos(twin.position.cx * 16, 0, twin.position.cz * 16)
     twin.set_block(origin, type(twin.get_block(origin))(1))
     assert twin.content_hash() != before
+
+
+@pytest.mark.parametrize("seed, position, expected", PINNED_DEFAULT_CHUNKS)
+def test_default_chunk_hash_is_pinned(seed, position, expected):
+    chunk = DefaultTerrainGenerator(seed=seed).generate_chunk(ChunkPos(*position))
+    assert chunk.content_hash() == expected
+    snippet = _DEFAULT_SNIPPET.format(seed=seed, cx=position[0], cz=position[1])
+    assert _hash_in_subprocess("3", snippet) == _hash_in_subprocess("random", snippet) == expected
