@@ -42,5 +42,7 @@ class ServoConfig:
             raise ValueError("steps_per_invocation must be at least 1")
         if self.tick_lead < 0:
             raise ValueError("tick_lead must be non-negative")
+        if self.prefetch_margin_blocks < 0:
+            raise ValueError("prefetch_margin_blocks must be non-negative")
         if self.prefetch_interval_ticks < 1:
             raise ValueError("prefetch_interval_ticks must be at least 1")

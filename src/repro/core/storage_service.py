@@ -86,12 +86,8 @@ class ServoStorageService(StorageBackend):
             return 0
         if getattr(self.remote, "object_count", 1) == 0:
             return 0  # nothing persisted yet; planning would be pointless work
-        plan = self.policy.plan([avatar.position for avatar in avatars])
         fetched = 0
-        candidates = sorted(
-            plan.prefetch | plan.required, key=lambda pos: (pos.cx, pos.cz)
-        )
-        for chunk_pos in candidates:
+        for chunk_pos in self.policy.candidates([avatar.position for avatar in avatars]):
             key = chunk_pos.key()
             if self.cache.is_cached(key) or not self.remote.exists(key):
                 continue

@@ -125,8 +125,7 @@ def run_fig13(
         latencies: list[float] = []
         for positions, new_chunks in trace.steps:
             if prefetcher is not None and isinstance(reader, CachedStorage):
-                plan = prefetcher.plan(positions)
-                for chunk_pos in sorted(plan.prefetch | plan.required):
+                for chunk_pos in prefetcher.candidates(positions):
                     key = chunk_pos.key()
                     if storage.exists(key) and not reader.is_cached(key):
                         reader.prefetch(key)

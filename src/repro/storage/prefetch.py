@@ -2,9 +2,9 @@
 
 Servo hides blob-storage latency by prefetching terrain data that is outside
 of, but close to, the players' view distance (Section III-E).  The policy
-computes, from the current avatar positions, the set of chunks that should be
-resident (the view set) and the set that should be prefetched (the ring just
-beyond the view distance).
+computes, from the current avatar positions, the chunks that should be
+resident in the cache: those within the view distance plus a prefetch margin
+of some avatar.
 """
 
 from __future__ import annotations
@@ -40,24 +40,6 @@ def _packed_offsets(offset_x: int, offset_z: int, radius_blocks: float) -> np.nd
     )
 
 
-def _unpack(packed: np.ndarray) -> frozenset[ChunkPos]:
-    xs = (packed >> _PACK_BITS).tolist()
-    zs = ((packed & _PACK_MASK) - _PACK_HALF).tolist()
-    return frozenset(ChunkPos(x, z) for x, z in zip(xs, zs))
-
-
-@dataclass(frozen=True)
-class PrefetchPlan:
-    """The chunk sets a prefetch evaluation produces."""
-
-    required: frozenset[ChunkPos]
-    prefetch: frozenset[ChunkPos]
-
-    @property
-    def all_chunks(self) -> frozenset[ChunkPos]:
-        return self.required | self.prefetch
-
-
 @dataclass(frozen=True)
 class DistancePrefetchPolicy:
     """Prefetch chunks within ``view_distance + prefetch_margin`` blocks of any avatar."""
@@ -65,40 +47,25 @@ class DistancePrefetchPolicy:
     view_distance_blocks: float = 128.0
     prefetch_margin_blocks: float = 48.0
 
-    def plan(self, avatar_positions: Iterable[BlockPos]) -> PrefetchPlan:
-        """Compute required and prefetch chunk sets for the given avatar positions.
+    def candidates(self, avatar_positions: Iterable[BlockPos]) -> list[ChunkPos]:
+        """Every chunk within the extended radius of some avatar, in (cx, cz) order.
 
         The per-avatar chunk rings come from the memoised translation-
-        invariant offset table, and the unions accumulate plain integer
-        tuples; ``ChunkPos`` objects are only materialised for the (much
-        smaller, heavily overlapping) final sets.
+        invariant offset table as packed int64 coordinates; one ``np.unique``
+        unions and sorts them (packed order is (cx, cz) order), and
+        ``ChunkPos`` objects are only materialised for the union.
         """
-        view_radius = float(self.view_distance_blocks)
-        extended_radius = view_radius + float(self.prefetch_margin_blocks)
-        required_parts: list[np.ndarray] = []
-        extended_parts: list[np.ndarray] = []
+        radius = float(self.view_distance_blocks) + float(self.prefetch_margin_blocks)
+        parts: list[np.ndarray] = []
         for position in avatar_positions:
             base = ((position.x // CHUNK_SIZE) << _PACK_BITS) + (position.z // CHUNK_SIZE)
-            offset_x = position.x % CHUNK_SIZE
-            offset_z = position.z % CHUNK_SIZE
-            required_parts.append(base + _packed_offsets(offset_x, offset_z, view_radius))
-            extended_parts.append(
-                base + _packed_offsets(offset_x, offset_z, extended_radius)
+            parts.append(
+                base
+                + _packed_offsets(position.x % CHUNK_SIZE, position.z % CHUNK_SIZE, radius)
             )
-        if not required_parts:
-            return PrefetchPlan(required=frozenset(), prefetch=frozenset())
-        required_packed = np.unique(np.concatenate(required_parts))
-        extended_packed = np.unique(np.concatenate(extended_parts))
-        prefetch_packed = np.setdiff1d(extended_packed, required_packed, assume_unique=True)
-        return PrefetchPlan(
-            required=_unpack(required_packed),
-            prefetch=_unpack(prefetch_packed),
-        )
-
-    def eviction_candidates(
-        self, resident: Iterable[ChunkPos], avatar_positions: Iterable[BlockPos]
-    ) -> list[ChunkPos]:
-        """Resident chunks outside the extended radius (safe to drop from memory)."""
-        plan = self.plan(avatar_positions)
-        keep = plan.all_chunks
-        return sorted(pos for pos in resident if pos not in keep)
+        if not parts:
+            return []
+        packed = np.unique(np.concatenate(parts))
+        xs = (packed >> _PACK_BITS).tolist()
+        zs = ((packed & _PACK_MASK) - _PACK_HALF).tolist()
+        return [ChunkPos(x, z) for x, z in zip(xs, zs)]

@@ -104,18 +104,3 @@ def chunk_offsets_within_blocks(
             if math.hypot(offset_x - nearest_x, offset_z - nearest_z) <= radius_blocks:
                 result.append((dx, dz))
     return tuple(result)
-
-
-def chunks_within_blocks(center: BlockPos, radius_blocks: float) -> list[ChunkPos]:
-    """All chunk positions whose nearest edge lies within ``radius_blocks`` of ``center``.
-
-    Used by the chunk manager to decide which chunks must be loaded for a
-    player's view distance, and by the prefetcher for its slightly larger ring.
-    """
-    center_chunk = block_to_chunk(center)
-    offsets = chunk_offsets_within_blocks(
-        center.x % CHUNK_SIZE, center.z % CHUNK_SIZE, float(radius_blocks)
-    )
-    return [
-        ChunkPos(center_chunk.cx + dx, center_chunk.cz + dz) for dx, dz in offsets
-    ]

@@ -111,10 +111,9 @@ def test_spec_rejects_invalid_file(tmp_path, capsys):
     assert "duration_s must be positive" in capsys.readouterr().err
 
 
-def test_bench_reports_determinism(tmp_path, capsys):
-    out = tmp_path / "bench.json"
-    assert main(["bench", "--duration-s", "1", "--out", str(out)]) == 0
-    assert "bit-identical" in capsys.readouterr().out
-    report = json.loads(out.read_text())
-    assert report["deterministic"] is True
-    assert set(report["scenarios"]) == {"construct-heavy", "servo-cluster-2shard"}
+def test_bench_subcommand_is_removed(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "'bench'" in err

@@ -19,6 +19,8 @@ def test_servo_config_validation():
     with pytest.raises(ValueError):
         ServoConfig(tick_lead=-1)
     with pytest.raises(ValueError):
+        ServoConfig(prefetch_margin_blocks=-1.0)
+    with pytest.raises(ValueError):
         ServoConfig(prefetch_interval_ticks=0)
 
 

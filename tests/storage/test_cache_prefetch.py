@@ -1,5 +1,7 @@
 """Tests for the cache and the distance prefetch policy."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 from repro.storage.blob import AZURE_BLOB_STANDARD, BlobStorage
 from repro.storage.cache import CachedStorage
 from repro.storage.prefetch import DistancePrefetchPolicy
-from repro.world.coords import BlockPos, ChunkPos, block_to_chunk
+from repro.world.coords import (
+    BlockPos,
+    ChunkPos,
+    block_to_chunk,
+    chunk_offsets_within_blocks,
+)
 
 
 @pytest.fixture
@@ -89,33 +96,74 @@ def test_cache_read_latency_much_lower_than_remote(cache_and_blob):
     assert max(hits) < 40.0
 
 
-def test_prefetch_policy_partitions_required_and_margin():
-    policy = DistancePrefetchPolicy(view_distance_blocks=64.0, prefetch_margin_blocks=32.0)
-    plan = policy.plan([BlockPos(0, 64, 0)])
-    assert plan.required
-    assert plan.prefetch
-    assert not (plan.required & plan.prefetch)
-    assert block_to_chunk(BlockPos(0, 64, 0)) in plan.required
-
-
-def test_prefetch_policy_eviction_candidates():
-    policy = DistancePrefetchPolicy(view_distance_blocks=32.0, prefetch_margin_blocks=16.0)
-    resident = [ChunkPos(0, 0), ChunkPos(50, 50)]
-    candidates = policy.eviction_candidates(resident, [BlockPos(0, 64, 0)])
-    assert ChunkPos(50, 50) in candidates
-    assert ChunkPos(0, 0) not in candidates
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=-500, max_value=500),
     st.integers(min_value=-500, max_value=500),
 )
-def test_prefetch_plan_required_always_within_view(x, z):
+def test_prefetch_candidates_contain_player_chunk(x, z):
     policy = DistancePrefetchPolicy(view_distance_blocks=48.0, prefetch_margin_blocks=32.0)
     position = BlockPos(x, 64, z)
-    plan = policy.plan([position])
-    # The player's own chunk is always required, and the prefetch ring is
-    # strictly outside the required set.
-    assert block_to_chunk(position) in plan.required
-    assert not (plan.required & plan.prefetch)
+    assert block_to_chunk(position) in policy.candidates([position])
+
+
+def test_prefetch_candidates_grow_with_margin():
+    avatars = [BlockPos(0, 64, 0)]
+    small = DistancePrefetchPolicy(view_distance_blocks=32.0, prefetch_margin_blocks=0.0)
+    large = DistancePrefetchPolicy(view_distance_blocks=32.0, prefetch_margin_blocks=32.0)
+    assert set(small.candidates(avatars)) < set(large.candidates(avatars))
+    assert ChunkPos(50, 50) not in large.candidates(avatars)
+
+
+def test_prefetch_candidates_are_the_sorted_union_of_rings():
+    policy = DistancePrefetchPolicy(view_distance_blocks=48.0, prefetch_margin_blocks=16.0)
+    avatars = [BlockPos(-37, 64, 5), BlockPos(0, 64, 0), BlockPos(70, 64, -90), BlockPos(3, 64, 1)]
+    candidates = policy.candidates(avatars)
+    union = {
+        ChunkPos(block_to_chunk(a).cx + dx, block_to_chunk(a).cz + dz)
+        for a in avatars
+        for dx, dz in chunk_offsets_within_blocks(a.x % 16, a.z % 16, 64.0)
+    }
+    assert candidates == sorted(union)
+    assert policy.candidates([]) == []
+
+
+def test_prefetch_candidates_match_brute_force_distance():
+    # Reference in world coordinates: a chunk is a candidate when the nearest
+    # block of its 16x16 footprint lies within the extended radius of some
+    # avatar.
+    policy = DistancePrefetchPolicy(view_distance_blocks=40.0, prefetch_margin_blocks=9.0)
+    avatars = [BlockPos(-37, 64, 5), BlockPos(113, 64, -250), BlockPos(-1, 64, -1)]
+    expected = set()
+    for avatar in avatars:
+        home = block_to_chunk(avatar)
+        for cx in range(home.cx - 5, home.cx + 6):
+            for cz in range(home.cz - 5, home.cz + 6):
+                nearest_x = min(max(avatar.x, cx * 16), cx * 16 + 15)
+                nearest_z = min(max(avatar.z, cz * 16), cz * 16 + 15)
+                if math.hypot(avatar.x - nearest_x, avatar.z - nearest_z) <= 49.0:
+                    expected.add(ChunkPos(cx, cz))
+    assert policy.candidates(avatars) == sorted(expected)
+
+
+def test_prefetch_candidates_are_translation_invariant():
+    # Whole-chunk shifts far from the origin, on both signs, move every
+    # candidate by the same chunk offset.
+    policy = DistancePrefetchPolicy(view_distance_blocks=48.0, prefetch_margin_blocks=16.0)
+    avatars = [BlockPos(3, 64, 7), BlockPos(-70, 64, 41)]
+    base = policy.candidates(avatars)
+    for shift_x, shift_z in ((300_000, -300_000), (-300_000, 300_000), (-1, -1)):
+        moved = [BlockPos(a.x + 16 * shift_x, a.y, a.z + 16 * shift_z) for a in avatars]
+        assert policy.candidates(moved) == [
+            ChunkPos(c.cx + shift_x, c.cz + shift_z) for c in base
+        ]
+
+
+def test_prefetch_candidates_ignore_duplicate_avatars():
+    policy = DistancePrefetchPolicy(view_distance_blocks=32.0, prefetch_margin_blocks=16.0)
+    avatar = BlockPos(20, 64, -20)
+    once = policy.candidates([avatar])
+    assert len(once) == len(set(once))
+    assert policy.candidates([avatar, avatar, BlockPos(21, 64, -19)]) == sorted(
+        set(once) | set(policy.candidates([BlockPos(21, 64, -19)]))
+    )

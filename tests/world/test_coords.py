@@ -8,7 +8,7 @@ from repro.world.coords import (
     ChunkPos,
     block_to_chunk,
     chunk_origin,
-    chunks_within_blocks,
+    chunk_offsets_within_blocks,
 )
 
 
@@ -52,20 +52,24 @@ def test_chunk_key_is_stable():
     assert ChunkPos(3, -4).key() == "chunk_3_-4"
 
 
-def test_chunks_within_blocks_contains_center_chunk():
-    positions = chunks_within_blocks(BlockPos(8, 64, 8), 1.0)
-    assert ChunkPos(0, 0) in positions
+def test_chunk_offsets_within_blocks_contains_center_chunk():
+    assert (0, 0) in chunk_offsets_within_blocks(8, 8, 1.0)
+    assert (0, 0) in chunk_offsets_within_blocks(0, 15, 0.0)
 
 
-def test_chunks_within_blocks_radius_grows_set():
-    small = set(chunks_within_blocks(BlockPos(0, 64, 0), 16.0))
-    large = set(chunks_within_blocks(BlockPos(0, 64, 0), 128.0))
+def test_chunk_offsets_within_blocks_radius_grows_set():
+    small = set(chunk_offsets_within_blocks(0, 0, 16.0))
+    large = set(chunk_offsets_within_blocks(0, 0, 128.0))
     assert small < large
 
 
-def test_chunks_within_blocks_rejects_negative_radius():
+def test_chunk_offsets_within_blocks_rejects_negative_radius():
     with pytest.raises(ValueError):
-        chunks_within_blocks(BlockPos(0, 0, 0), -1.0)
+        chunk_offsets_within_blocks(0, 0, -1.0)
+
+
+def test_chunk_offsets_within_blocks_zero_radius_is_center_only():
+    assert chunk_offsets_within_blocks(5, 9, 0.0) == ((0, 0),)
 
 
 @given(st.integers(-10 ** 6, 10 ** 6), st.integers(0, 255), st.integers(-10 ** 6, 10 ** 6))
